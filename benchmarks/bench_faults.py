@@ -68,7 +68,9 @@ def test_sync_under_faults(benchmark):
 
     # The supervised sweep completes: every seed at every level reports.
     assert all(not row["failed_seeds"] for row in rows)
-    baseline = result.baseline
+    baseline = next(
+        (level for level in result.levels if level.intensity == 0), None
+    )
     assert baseline is not None
     # Clean baseline really is clean.
     assert all(value == 0 for value in baseline.fault_stats.values())

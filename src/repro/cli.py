@@ -108,6 +108,73 @@ def _report_supervision(label: str, sweep) -> None:
         )
 
 
+def _sync_base(args: argparse.Namespace, **extra) -> "core.SyncCampaignConfig":
+    """The Fig. 1 campaign config the sync/chaos/attack flags describe."""
+    return core.SyncCampaignConfig(
+        n_reachable=args.nodes,
+        fidelity=args.fidelity,
+        duration=args.hours * HOURS,
+        seed=args.seed,
+        **extra,
+    )
+
+
+def _report_stored(stored, unit: str, total: int) -> None:
+    """Print where a stored sweep's result came from."""
+    run_id = stored.manifest.run_id
+    if stored.cached:
+        print(
+            f"cache hit: run {run_id} is complete — "
+            f"returning the stored result (no simulation)"
+        )
+    elif stored.resumed_from is not None:
+        print(f"resumed run {run_id} from {unit} {stored.resumed_from}/{total}")
+    else:
+        print(f"stored as run {run_id}")
+
+
+def _report_degradation(axis: str, table, totals_title: str, totals, idle: str) -> None:
+    """Print a one-axis degradation table and its per-level counter totals."""
+    rows = []
+    for row in table:
+        delta = row["delta_vs_baseline"]
+        rows.append(
+            (
+                row[axis],
+                round(row["mean_sync"], 2),
+                round(row["median_sync"], 2),
+                "-" if delta is None else round(delta, 2),
+                len(row["failed_seeds"]),
+                len(row["retried_seeds"]),
+            )
+        )
+    print(
+        format_table(
+            (axis, "mean sync %", "median sync %",
+             "delta vs baseline", "failed", "retried"),
+            rows,
+        )
+    )
+    print()
+    print(totals_title)
+    for value, stats in totals:
+        nonzero = {k: v for k, v in stats.items() if v}
+        print(f"  {value}: {nonzero if nonzero else idle}")
+
+
+def _export_degradation(out_dir: str, name: str, axis: str, table, sweeps) -> None:
+    """Write the degradation table as JSON and each level's sync samples."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / f"{name}_degradation.json", "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=2, sort_keys=True)
+    for value, sweep in sweeps:
+        export_mod.export_sync_samples(
+            sweep, out / f"sync_samples_{axis}_{value}.csv", label=f"{axis}={value}"
+        )
+    print(f"exported degradation table and samples to {out}/")
+
+
 def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     base = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
@@ -259,13 +326,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-        faults=_load_fault_plan(args),
-    )
+    base = _sync_base(args, faults=_load_fault_plan(args))
     if args.seeds > 1:
         seeds = core.seed_range(args.seed, args.seeds)
         print(
@@ -331,12 +392,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     plan = FaultPlan.from_file(args.faults)
     intensities = [float(part) for part in args.intensities.split(",")]
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-    )
+    base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
     print(
         f"chaos: nodes={args.nodes} duration={args.hours}h plan={args.faults} "
@@ -353,44 +409,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     for level in result.levels:
         _report_supervision(f"intensity {level.intensity}", level.sweep)
-    rows = []
-    for row in result.degradation_table():
-        delta = row["delta_vs_baseline"]
-        rows.append(
-            (
-                row["intensity"],
-                round(row["mean_sync"], 2),
-                round(row["median_sync"], 2),
-                "-" if delta is None else round(delta, 2),
-                len(row["failed_seeds"]),
-                len(row["retried_seeds"]),
-            )
-        )
-    print(
-        format_table(
-            ("intensity", "mean sync %", "median sync %",
-             "delta vs baseline", "failed", "retried"),
-            rows,
-        )
+    table = result.degradation_table()
+    _report_degradation(
+        "intensity", table, "injector totals per intensity level:",
+        [(level.intensity, level.fault_stats) for level in result.levels],
+        "(no faults fired)",
     )
-    print()
-    print("injector totals per intensity level:")
-    for level in result.levels:
-        stats = level.fault_stats
-        nonzero = {k: v for k, v in stats.items() if v}
-        print(f"  {level.intensity}: {nonzero if nonzero else '(no faults fired)'}")
     if args.export:
-        out = Path(args.export)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "chaos_degradation.json", "w", encoding="utf-8") as fh:
-            json.dump(result.degradation_table(), fh, indent=2, sort_keys=True)
-        for level in result.levels:
-            export_mod.export_sync_samples(
-                level.sweep,
-                out / f"sync_samples_intensity_{level.intensity}.csv",
-                label=f"intensity={level.intensity}",
-            )
-        print(f"exported degradation table and samples to {out}/")
+        _export_degradation(
+            args.export, "chaos", "intensity", table,
+            [(level.intensity, level.sweep) for level in result.levels],
+        )
     return 0
 
 
@@ -399,12 +428,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     plan = AttackPlan.from_file(args.plan)
     counts = [int(part) for part in args.counts.split(",")]
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-    )
+    base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
     print(
         f"attack: nodes={args.nodes} duration={args.hours}h plan={args.plan} "
@@ -412,66 +436,21 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         f"workers={args.workers or 'auto'}..."
     )
     supervisor = _supervisor_config(args)
+    sweep = dict(counts=counts, seeds=seeds, workers=args.workers, supervisor=supervisor)
     if args.store:
-        stored = core.run_stored_attack_sweep(
-            args.store,
-            plan,
-            base,
-            counts=counts,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
+        stored = core.run_stored_attack_sweep(args.store, plan, base, **sweep)
         result = stored.result
-        if stored.cached:
-            print(
-                f"cache hit: run {stored.manifest.run_id} is complete — "
-                f"returning the stored result (no simulation)"
-            )
-        elif stored.resumed_from is not None:
-            print(
-                f"resumed run {stored.manifest.run_id} from level "
-                f"{stored.resumed_from}/{len(counts)}"
-            )
-        else:
-            print(f"stored as run {stored.manifest.run_id}")
+        _report_stored(stored, "level", len(counts))
     else:
-        result = core.run_attack_sweep(
-            plan,
-            base,
-            counts=counts,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
+        result = core.run_attack_sweep(plan, base, **sweep)
     for level in result.levels:
         _report_supervision(f"attackers={level.count}", level.sweep)
-    rows = []
-    for row in result.degradation_table():
-        delta = row["delta_vs_baseline"]
-        rows.append(
-            (
-                row["attackers"],
-                round(row["mean_sync"], 2),
-                round(row["median_sync"], 2),
-                "-" if delta is None else round(delta, 2),
-                len(row["failed_seeds"]),
-                len(row["retried_seeds"]),
-            )
-        )
-    print(
-        format_table(
-            ("attackers", "mean sync %", "median sync %",
-             "delta vs baseline", "failed", "retried"),
-            rows,
-        )
+    table = result.degradation_table()
+    _report_degradation(
+        "attackers", table, "attacker totals per count level:",
+        [(level.count, level.attack_stats) for level in result.levels],
+        "(no attack)",
     )
-    print()
-    print("attacker totals per count level:")
-    for level in result.levels:
-        stats = level.attack_stats
-        nonzero = {k: v for k, v in stats.items() if v}
-        print(f"  {level.count}: {nonzero if nonzero else '(no attack)'}")
     if args.mitigations:
         print()
         print(
@@ -503,17 +482,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             f"sync percentage points"
         )
     if args.export:
-        out = Path(args.export)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "attack_degradation.json", "w", encoding="utf-8") as fh:
-            json.dump(result.degradation_table(), fh, indent=2, sort_keys=True)
-        for level in result.levels:
-            export_mod.export_sync_samples(
-                level.sweep,
-                out / f"sync_samples_attackers_{level.count}.csv",
-                label=f"attackers={level.count}",
-            )
-        print(f"exported degradation table and samples to {out}/")
+        _export_degradation(
+            args.export, "attack", "attackers", table,
+            [(level.count, level.sweep) for level in result.levels],
+        )
     return 0
 
 
@@ -550,45 +522,23 @@ def _cmd_variants(args: argparse.Namespace) -> int:
         f"{len(fault_plans)} fault plan(s) x fidelities={fidelities} "
         f"({n_cells} cells, seeds={seeds}, workers={args.workers or 'auto'})..."
     )
-    supervisor = _supervisor_config(args)
+    matrix = dict(
+        churn_levels=churn_levels,
+        fault_plans=fault_plans,
+        fidelities=fidelities,
+        seeds=seeds,
+        workers=args.workers,
+        supervisor=_supervisor_config(args),
+    )
     if args.store:
         stored = core.run_stored_variant_matrix(
-            args.store,
-            variants,
-            base,
-            churn_levels=churn_levels,
-            fault_plans=fault_plans,
-            fidelities=fidelities,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-            resume=args.resume,
-            force=args.force,
+            args.store, variants, base, resume=args.resume, force=args.force,
+            **matrix,
         )
         result = stored.result
-        if stored.cached:
-            print(
-                f"cache hit: run {stored.manifest.run_id} is complete — "
-                f"returning the stored result (no simulation)"
-            )
-        elif stored.resumed_from is not None:
-            print(
-                f"resumed run {stored.manifest.run_id} from cell "
-                f"{stored.resumed_from}/{n_cells}"
-            )
-        else:
-            print(f"stored as run {stored.manifest.run_id}")
+        _report_stored(stored, "cell", n_cells)
     else:
-        result = core.run_variant_matrix(
-            variants,
-            base,
-            churn_levels=churn_levels,
-            fault_plans=fault_plans,
-            fidelities=fidelities,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
+        result = core.run_variant_matrix(variants, base, **matrix)
     for cell in result.cells:
         _report_supervision(
             f"{cell.variant_label} churn={cell.churn_per_10min:g} "

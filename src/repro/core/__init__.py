@@ -43,7 +43,6 @@ from .attack_experiments import (
     AttackSweepLevel,
     AttackSweepResult,
     MitigationComparison,
-    StoredAttackSweep,
     compare_mitigations,
     run_attack_sweep,
     run_stored_attack_sweep,
@@ -54,7 +53,6 @@ from .fault_experiments import (
     run_sync_under_faults,
 )
 from .variant_experiments import (
-    StoredVariantMatrix,
     VariantCell,
     VariantMatrixResult,
     run_stored_variant_matrix,
@@ -69,6 +67,7 @@ from .parallel import (
     run_multi_seed,
     run_multi_seed_supervised,
     run_sync_campaign_sweep,
+    run_sync_groups,
     seed_range,
 )
 from .pipeline import (
@@ -151,7 +150,6 @@ __all__ = [
     "SnapshotResult",
     "SourceStats",
     "StabilityResult",
-    "StoredAttackSweep",
     "SuccessResult",
     "SuccessRun",
     "SupervisedRun",
@@ -164,7 +162,6 @@ __all__ = [
     "SyncSnapshot",
     "SyncSweepResult",
     "TargetShift",
-    "StoredVariantMatrix",
     "VariantCell",
     "VariantMatrixResult",
     "VerProber",
@@ -200,6 +197,7 @@ __all__ = [
     "run_supervised",
     "run_sync_campaign",
     "run_sync_campaign_sweep",
+    "run_sync_groups",
     "run_sync_under_faults",
     "run_stored_variant_matrix",
     "run_variant_matrix",

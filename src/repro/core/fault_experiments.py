@@ -1,7 +1,8 @@
 """Synchronization degradation under injected faults.
 
 The paper measures how Bitcoin synchronization deteriorates under churn;
-the resilience literature it builds on (Motlagh et al., arXiv:1803.06559)
+the resilience literature it builds on (Younis, Imtiaz, Starobinski &
+Trachtenberg, "Improving Bitcoin's Resilience to Churn", arXiv:1803.06559)
 asks the sharper question of how *gracefully* sync degrades as network
 conditions worsen.  This driver answers it in the simulator: take one
 Fig. 1 synchronization campaign and one :class:`~repro.faults.plan.FaultPlan`,
@@ -20,16 +21,14 @@ together).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from .parallel import (
     SyncSweepResult,
-    _run_sync_config,
-    run_multi_seed_supervised,
+    degradation_table,
+    run_sync_groups,
     seed_range,
 )
 from .supervisor import SupervisorConfig
@@ -52,15 +51,9 @@ class FaultSweepLevel:
         return self.sweep.mean
 
     @property
-    def fault_stats(self) -> dict:
+    def fault_stats(self) -> Dict[str, int]:
         """Summed injector counters across the level's seeds."""
-        totals: dict = {}
-        for result in self.sweep.per_seed:
-            if result.fault_stats is None:
-                continue
-            for key, value in result.fault_stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return self.sweep.counter_totals("fault_stats")
 
 
 @dataclass
@@ -74,35 +67,11 @@ class FaultSweepResult:
     def intensities(self) -> List[float]:
         return [level.intensity for level in self.levels]
 
-    @property
-    def baseline(self) -> Optional[FaultSweepLevel]:
-        """The intensity-0 level, when the axis includes one."""
-        for level in self.levels:
-            if level.intensity == 0:
-                return level
-        return None
-
     def degradation_table(self) -> List[dict]:
         """Per-level summary rows: intensity, mean sync, delta vs. baseline."""
-        base = self.baseline
-        base_mean = base.mean_sync if base is not None else None
-        rows = []
-        for level in self.levels:
-            rows.append(
-                {
-                    "intensity": level.intensity,
-                    "mean_sync": level.mean_sync,
-                    "median_sync": float(np.median(level.sweep.sync_samples)),
-                    "delta_vs_baseline": (
-                        level.mean_sync - base_mean
-                        if base_mean is not None
-                        else None
-                    ),
-                    "failed_seeds": list(level.sweep.failed_seeds),
-                    "retried_seeds": list(level.sweep.retried_seeds),
-                }
-            )
-        return rows
+        return degradation_table(
+            "intensity", [(level.intensity, level.sweep) for level in self.levels]
+        )
 
 
 def run_sync_under_faults(
@@ -119,40 +88,15 @@ def run_sync_under_faults(
         raise ConfigurationError("need at least one fault intensity")
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 3)
-    levels = [(intensity, plan.scaled(intensity)) for intensity in intensities]
-    tasks: List[SyncCampaignConfig] = []
-    for _, scaled in levels:
-        for seed in seeds:
-            tasks.append(replace(base, seed=seed, faults=scaled))
-    run = run_multi_seed_supervised(
-        _run_sync_config,
-        tasks,
+    scaled = [plan.scaled(intensity) for intensity in intensities]
+    sweeps = run_sync_groups(
+        [[replace(base, seed=seed, faults=level) for seed in seeds] for level in scaled],
         workers,
         supervisor,
-        labels=[config.seed for config in tasks],
     )
     result = FaultSweepResult(plan=plan)
-    for index, (intensity, scaled) in enumerate(levels):
-        low, high = index * len(seeds), (index + 1) * len(seeds)
-        chunk = run.results[low:high]
-        kept = [
-            (seed, item)
-            for seed, item in zip(seeds, chunk)
-            if item is not None
-        ]
-        sweep = SyncSweepResult(
-            seeds=[seed for seed, _ in kept],
-            per_seed=[item for _, item in kept],
-            failed_seeds=[
-                seed for seed, item in zip(seeds, chunk) if item is None
-            ],
-            retried_seeds=[
-                seeds[position - low]
-                for position in run.retried_indexes
-                if low <= position < high
-            ],
-        )
+    for intensity, level, sweep in zip(intensities, scaled, sweeps):
         result.levels.append(
-            FaultSweepLevel(intensity=intensity, plan=scaled, sweep=sweep)
+            FaultSweepLevel(intensity=intensity, plan=level, sweep=sweep)
         )
     return result

@@ -30,7 +30,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -44,13 +44,10 @@ from .supervisor import (
     SupervisorEvent,
     run_supervised,
 )
-from .sync_experiments import (
-    SyncCampaignConfig,
-    SyncCampaignResult,
-    run_sync_campaign,
-)
+from .sync_experiments import SyncCampaignConfig, run_sync_campaign
 
 T = TypeVar("T")
+S = TypeVar("S", bound="_SeedSweep")
 
 
 def default_workers(n_tasks: int) -> int:
@@ -133,26 +130,66 @@ def run_multi_seed(
 
 
 # ---------------------------------------------------------------------------
-# Fig. 1 synchronization campaigns
+# Seed sweeps: one supervised fan-out, split back into per-group results
 # ---------------------------------------------------------------------------
-def _sync_worker(base: SyncCampaignConfig, seed: int) -> SyncCampaignResult:
-    return run_sync_campaign(replace(base, seed=seed))
-
-
 @dataclass
-class SyncSweepResult:
-    """Multi-seed synchronization campaign, merged in seed order.
+class _SeedSweep:
+    """Per-seed results merged in seed order, with the supervisor's report.
 
-    ``seeds``/``per_seed`` hold the campaigns that completed;
-    ``failed_seeds`` the seeds the supervisor gave up on (their samples
+    ``seeds``/``per_seed`` hold the runs that completed;
+    ``failed_seeds`` the seeds the supervisor gave up on (their results
     are absent from every pooled statistic) and ``retried_seeds`` those
     that needed more than one attempt but completed.
     """
 
     seeds: List[int]
-    per_seed: List[SyncCampaignResult]
+    per_seed: List[Any]
     failed_seeds: List[int] = field(default_factory=list)
     retried_seeds: List[int] = field(default_factory=list)
+
+    @property
+    def truncated(self) -> bool:
+        """True if any seed's run was cut short."""
+        return any(result.truncated for result in self.per_seed)
+
+    @property
+    def truncated_seeds(self) -> List[int]:
+        """Seeds whose runs were cut short (pooled stats are biased)."""
+        return [
+            seed
+            for seed, result in zip(self.seeds, self.per_seed)
+            if result.truncated
+        ]
+
+
+def _split_sweeps(
+    run: SupervisedRun, sizes: Sequence[int], sweep: Callable[..., S]
+) -> List[S]:
+    """Cut a fan-out labelled by seed into consecutive groups of ``sizes``."""
+    retried = set(run.retried_indexes)
+    sweeps: List[S] = []
+    low = 0
+    for size in sizes:
+        slots = range(low, low + size)
+        low += size
+        done = [i for i in slots if run.results[i] is not None]
+        sweeps.append(
+            sweep(
+                seeds=[run.labels[i] for i in done],
+                per_seed=[run.results[i] for i in done],
+                failed_seeds=[run.labels[i] for i in slots if run.results[i] is None],
+                retried_seeds=[run.labels[i] for i in slots if i in retried],
+            )
+        )
+    return sweeps
+
+
+# ---------------------------------------------------------------------------
+# Fig. 1 synchronization campaigns
+# ---------------------------------------------------------------------------
+@dataclass
+class SyncSweepResult(_SeedSweep):
+    """Multi-seed synchronization campaign, merged in seed order."""
 
     @property
     def sync_samples(self) -> List[float]:
@@ -177,23 +214,65 @@ class SyncSweepResult:
             np.mean([r.sync_departures_per_10min for r in self.per_seed])
         )
 
-    @property
-    def truncated(self) -> bool:
-        """True if any seed's campaign was cut short by its event cap."""
-        return any(r.truncated for r in self.per_seed)
-
-    @property
-    def truncated_seeds(self) -> List[int]:
-        """Seeds whose campaigns were cut short (pooled stats are biased)."""
-        return [
-            seed
-            for seed, result in zip(self.seeds, self.per_seed)
-            if result.truncated
-        ]
-
     def density(self, **kwargs) -> DensityEstimate:
         """KDE over the pooled samples (a seed-averaged Fig. 1 curve)."""
         return kde(self.sync_samples, **kwargs)
+
+    def counter_totals(self, name: str) -> Dict[str, int]:
+        """Per-seed counter dicts (``fault_stats``, ``attack_stats``) summed."""
+        totals: Dict[str, int] = {}
+        for result in self.per_seed:
+            for key, value in (getattr(result, name) or {}).items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+
+def degradation_table(
+    axis: str, levels: Sequence[Tuple[float, SyncSweepResult]]
+) -> List[dict]:
+    """Per-level rows of a one-axis sweep, keyed ``axis`` by level value.
+
+    ``delta_vs_baseline`` is measured against the first level whose
+    value is 0 (the clean baseline), or ``None`` without one.
+    """
+    base_mean = next((sweep.mean for value, sweep in levels if value == 0), None)
+    return [
+        {
+            axis: value,
+            "mean_sync": sweep.mean,
+            "median_sync": sweep.median,
+            "delta_vs_baseline": (
+                sweep.mean - base_mean if base_mean is not None else None
+            ),
+            "failed_seeds": list(sweep.failed_seeds),
+            "retried_seeds": list(sweep.retried_seeds),
+        }
+        for value, sweep in levels
+    ]
+
+
+def run_sync_groups(
+    groups: Sequence[Sequence[SyncCampaignConfig]],
+    workers: Optional[int] = None,
+    supervisor: Optional[SupervisorConfig] = None,
+) -> List[SyncSweepResult]:
+    """Run every group's campaigns in one supervised fan-out.
+
+    Returns one :class:`SyncSweepResult` per group, in group order, each
+    merged in its configs' order.  Partial mode: a seed the supervisor
+    gives up on is dropped from its group's merge and reported on that
+    group's ``failed_seeds``; a seed that needed a retry is reported on
+    its group's ``retried_seeds``.
+    """
+    tasks = [config for group in groups for config in group]
+    run = run_multi_seed_supervised(
+        run_sync_campaign,
+        tasks,
+        workers,
+        supervisor,
+        labels=[config.seed for config in tasks],
+    )
+    return _split_sweeps(run, [len(group) for group in groups], SyncSweepResult)
 
 
 def run_sync_campaign_sweep(
@@ -209,20 +288,8 @@ def run_sync_campaign_sweep(
     """
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    run = run_multi_seed_supervised(
-        partial(_sync_worker, base), seeds, workers, supervisor
-    )
-    kept = [
-        (seed, result)
-        for seed, result in zip(seeds, run.results)
-        if result is not None
-    ]
-    return SyncSweepResult(
-        seeds=[seed for seed, _ in kept],
-        per_seed=[result for _, result in kept],
-        failed_seeds=list(run.failed_labels),
-        retried_seeds=list(run.retried_labels),
-    )
+    group = [replace(base, seed=seed) for seed in seeds]
+    return run_sync_groups([group], workers, supervisor)[0]
 
 
 def run_2019_vs_2020_sweep(
@@ -241,46 +308,12 @@ def run_2019_vs_2020_sweep(
     """
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    labels = (("2019", churn_2019), ("2020", churn_2020))
-    tasks: List[SyncCampaignConfig] = []
-    for _, churn in labels:
-        for seed in seeds:
-            tasks.append(replace(base, churn_per_10min=churn, seed=seed))
-    run = run_multi_seed_supervised(
-        _run_sync_config,
-        tasks,
-        workers,
-        supervisor,
-        labels=[config.seed for config in tasks],
-    )
-    out: Dict[str, SyncSweepResult] = {}
-    for index, (label, _) in enumerate(labels):
-        low, high = index * len(seeds), (index + 1) * len(seeds)
-        chunk = run.results[low:high]
-        kept = [
-            (seed, result)
-            for seed, result in zip(seeds, chunk)
-            if result is not None
-        ]
-        out[label] = SyncSweepResult(
-            seeds=[seed for seed, _ in kept],
-            per_seed=[result for _, result in kept],
-            failed_seeds=[
-                seed
-                for seed, result in zip(seeds, chunk)
-                if result is None
-            ],
-            retried_seeds=[
-                seeds[position - low]
-                for position in run.retried_indexes
-                if low <= position < high
-            ],
-        )
-    return out
-
-
-def _run_sync_config(config: SyncCampaignConfig) -> SyncCampaignResult:
-    return run_sync_campaign(config)
+    labels = {"2019": churn_2019, "2020": churn_2020}
+    groups = [
+        [replace(base, churn_per_10min=churn, seed=seed) for seed in seeds]
+        for churn in labels.values()
+    ]
+    return dict(zip(labels, run_sync_groups(groups, workers, supervisor)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +344,8 @@ def _campaign_worker(
 
 
 @dataclass
-class CampaignSweepResult:
-    """Multi-seed crawl campaign, merged in seed order.
-
-    Partial-result reporting mirrors :class:`SyncSweepResult`: seeds the
-    supervisor gave up on land in ``failed_seeds``, seeds that needed a
-    retry but completed in ``retried_seeds``.
-    """
-
-    seeds: List[int]
-    per_seed: List[CampaignResult]
-    failed_seeds: List[int] = field(default_factory=list)
-    retried_seeds: List[int] = field(default_factory=list)
+class CampaignSweepResult(_SeedSweep):
+    """Multi-seed crawl campaign, merged in seed order."""
 
     def mean_over_seeds(self, stat: Callable[[CampaignResult], float]) -> float:
         """Average a per-campaign statistic across seeds."""
@@ -335,19 +358,6 @@ class CampaignSweepResult:
             seen |= result.cumulative_unreachable
         return len(seen)
 
-    @property
-    def truncated(self) -> bool:
-        """True if any seed's campaign contains a cut-short snapshot."""
-        return any(result.truncated for result in self.per_seed)
-
-    @property
-    def truncated_seeds(self) -> List[int]:
-        """Seeds with at least one truncated snapshot (lower bounds only)."""
-        return [
-            seed
-            for seed, result in zip(self.seeds, self.per_seed)
-            if result.truncated
-        ]
 
 
 def run_campaign_sweep(
@@ -378,14 +388,4 @@ def run_campaign_sweep(
         os.fspath(store) if store is not None else None,
     )
     run = run_multi_seed_supervised(task, seeds, workers, supervisor)
-    kept = [
-        (seed, result)
-        for seed, result in zip(seeds, run.results)
-        if result is not None
-    ]
-    return CampaignSweepResult(
-        seeds=[seed for seed, _ in kept],
-        per_seed=[result for _, result in kept],
-        failed_seeds=list(run.failed_labels),
-        retried_seeds=list(run.retried_labels),
-    )
+    return _split_sweeps(run, [len(seeds)], CampaignSweepResult)[0]

@@ -6,7 +6,7 @@ seed's result is lost.  The :class:`Supervisor` replaces it with one
 child process per task under an explicit watchdog:
 
 * **crash detection** — a worker that dies without reporting (segfault,
-  OOM kill, ``os._exit``) is noticed the moment its pipe closes, and the
+  OOM kill, hard exit) is noticed the moment its pipe closes, and the
   exit code is recorded;
 * **hang detection** — an optional per-task timeout; a worker that blows
   past it is terminated (then killed) and treated like a crash;

@@ -19,7 +19,7 @@ at the paper's ~1:2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -157,21 +157,6 @@ def run_2019_vs_2020(
     base = base if base is not None else SyncCampaignConfig()
     results: Dict[str, SyncCampaignResult] = {}
     for label, churn in (("2019", churn_2019), ("2020", churn_2020)):
-        config = SyncCampaignConfig(
-            n_reachable=base.n_reachable,
-            fidelity=base.fidelity,
-            churn_per_10min=churn,
-            block_interval=base.block_interval,
-            pre_mined_blocks=base.pre_mined_blocks,
-            sample_period=base.sample_period,
-            poll_spread=base.poll_spread,
-            warmup=base.warmup,
-            duration=base.duration,
-            seed=base.seed,
-            max_events=base.max_events,
-            faults=base.faults,
-            attack=base.attack,
-            policies=base.policies,
-        )
+        config = replace(base, churn_per_10min=churn)
         results[label] = run_sync_campaign(config)
     return results

@@ -63,8 +63,7 @@ from ..errors import (
     ServiceBusyError,
     StoreError,
 )
-from ..store.campaign import _RESULT_KIND
-from ..store.checkpoint import load_checkpoint
+from ..store.campaign import CAMPAIGN
 from ..store.manifest import RunManifest
 from ..store.runstore import RunStore, default_store_root
 from .cache import ReadCache
@@ -504,12 +503,7 @@ class CampaignService:
         # Deserializing the blob is pure CPU on in-memory bytes; only
         # the blob read itself needs the executor.
         blob = await self._blob_bytes(manifest.result_digest)
-        result = load_checkpoint(blob, expect_kind=_RESULT_KIND)
-        if not isinstance(result, CampaignResult):
-            raise StoreError(
-                f"run {manifest.run_id!r} result blob has wrong type"
-            )
-        return result
+        return CAMPAIGN.decode_result(blob, manifest.run_id)
 
     async def _h_result(
         self, request: Request, parts: Tuple[str, ...]

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Type, TypeVar
 from ..core.pipeline import CampaignConfig
 from ..errors import ConfigurationError
 from ..netmodel.scenario import LongitudinalConfig
-from ..store.campaign import campaign_key, campaign_run_id
+from ..store.campaign import CAMPAIGN, campaign_key
 
 T = TypeVar("T")
 
@@ -119,7 +119,7 @@ class SubmissionSpec:
     def __post_init__(self) -> None:
         if not self.plans:
             self.plans = [
-                SeedPlan(seed=seed, key=key, run_id=campaign_run_id(key))
+                SeedPlan(seed=seed, key=key, run_id=CAMPAIGN.run_id(key))
                 for seed, key in (
                     (
                         seed,

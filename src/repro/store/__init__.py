@@ -5,8 +5,9 @@ addressed blobs with atomic writes (:mod:`~repro.store.blobs`), JSON run
 manifests keyed by a content hash of (scenario, seed, config)
 (:mod:`~repro.store.manifest`), versioned integrity-checked checkpoint
 framing (:mod:`~repro.store.checkpoint`), the store facade with gc and
-manifest diffing (:mod:`~repro.store.runstore`), and the resumable
-campaign driver (:mod:`~repro.store.campaign`).
+manifest diffing (:mod:`~repro.store.runstore`), and the one resumable
+stored-run primitive with its crawl-campaign adapter
+(:mod:`~repro.store.campaign`).
 
 ``repro.simnet.Simulator.snapshot()`` / ``restore()`` build on the same
 checkpoint framing, so a whole simulator — event queue (either scheduler
@@ -16,12 +17,13 @@ bytes and replays bit-identically.
 
 from .blobs import BlobStore, sha256_hex
 from .campaign import (
+    CAMPAIGN,
     CRASH_ENV,
-    StoredCampaign,
+    StoredKind,
+    StoredRun,
     campaign_key,
-    campaign_run_id,
-    load_campaign_result,
     run_stored_campaign,
+    run_stored_steps,
 )
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -32,7 +34,6 @@ from .checkpoint import (
 from .manifest import (
     MANIFEST_FORMAT,
     STATUS_COMPLETE,
-    STATUS_INTERRUPTED,
     STATUS_RUNNING,
     CheckpointRecord,
     RunManifest,
@@ -44,6 +45,7 @@ from .runstore import RunStore, default_store_root
 
 __all__ = [
     "BlobStore",
+    "CAMPAIGN",
     "CHECKPOINT_FORMAT",
     "CRASH_ENV",
     "CheckpointRecord",
@@ -51,19 +53,18 @@ __all__ = [
     "RunManifest",
     "RunStore",
     "STATUS_COMPLETE",
-    "STATUS_INTERRUPTED",
     "STATUS_RUNNING",
     "SnapshotRecord",
-    "StoredCampaign",
+    "StoredKind",
+    "StoredRun",
     "campaign_key",
-    "campaign_run_id",
     "code_version",
     "default_store_root",
     "dump_checkpoint",
-    "load_campaign_result",
     "load_checkpoint",
     "read_header",
     "run_key",
     "run_stored_campaign",
+    "run_stored_steps",
     "sha256_hex",
 ]

@@ -141,11 +141,16 @@ def read_header(data: bytes) -> Dict[str, Any]:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header: not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {header.get('format')!r} "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
+    for name, kind in (("payload_bytes", int), ("payload_sha256", str)):
+        if not isinstance(header.get(name), kind):
+            raise CheckpointError(f"corrupt checkpoint header: bad {name!r}")
     header["_payload_offset"] = offset + header_len
     return header
 
@@ -166,4 +171,9 @@ def load_checkpoint(data: bytes, *, expect_kind: Optional[str] = None) -> Any:
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError("checkpoint payload digest mismatch")
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # a crafted payload can raise anything
+        raise CheckpointError(
+            f"checkpoint payload does not unpickle: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -3,7 +3,7 @@
 A manifest describes one run — what was executed (scenario + campaign
 config, seed, engine backend, code version), what came out of it
 (per-snapshot result blobs, the final result blob), and where it stands
-(``running`` / ``complete`` / ``interrupted``).  Blobs live in the
+(``running`` / ``complete``).  Blobs live in the
 content-addressed :class:`~repro.store.blobs.BlobStore`; the manifest
 holds only digests, so identical outputs across runs share storage.
 
@@ -31,8 +31,7 @@ MANIFEST_FORMAT = 1
 
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
-STATUS_INTERRUPTED = "interrupted"
-_STATUSES = (STATUS_RUNNING, STATUS_COMPLETE, STATUS_INTERRUPTED)
+_STATUSES = (STATUS_RUNNING, STATUS_COMPLETE)
 
 
 def canonical_json(value: Any) -> str:
@@ -171,20 +170,25 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
+        if not isinstance(data, dict):
+            raise StoreError("malformed manifest: not a JSON object")
         data = dict(data)
         if data.get("format") != MANIFEST_FORMAT:
             raise StoreError(
                 f"unsupported manifest format {data.get('format')!r} "
                 f"(this build reads format {MANIFEST_FORMAT})"
             )
-        data["snapshots"] = [
-            SnapshotRecord(**snap) for snap in data.get("snapshots", [])
-        ]
-        checkpoint = data.get("checkpoint")
-        data["checkpoint"] = (
-            CheckpointRecord(**checkpoint) if checkpoint is not None else None
-        )
-        return cls(**data)
+        try:
+            data["snapshots"] = [
+                SnapshotRecord(**snap) for snap in data.get("snapshots", [])
+            ]
+            checkpoint = data.get("checkpoint")
+            data["checkpoint"] = (
+                CheckpointRecord(**checkpoint) if checkpoint is not None else None
+            )
+            return cls(**data)
+        except TypeError as exc:  # missing, unknown or non-object fields
+            raise StoreError(f"malformed manifest: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":

@@ -1,15 +1,17 @@
 """Tests for the run store: blobs, checkpoints, manifests, resume.
 
-The subprocess tests at the bottom are the tentpole acceptance pin:
-a campaign killed mid-run (hard ``os._exit`` right after a checkpoint
-commits) and then resumed produces byte-identical CSV exports and
-identical content-store digests to an uninterrupted run — on both
-scheduler backends.
+The subprocess tests at the bottom are the acceptance pin for every
+stored kind (crawl campaign, attack sweep, variant matrix): a run
+killed mid-way (hard ``os._exit`` right after a checkpoint commits) and
+then resumed produces identical content-store digests to an
+uninterrupted run — and, for campaigns, byte-identical CSV exports on
+both scheduler backends.
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -25,20 +27,23 @@ from repro.netmodel.scenario import (
 )
 from repro.simnet.simulator import Simulator, resolve_engine
 from repro.store import (
+    CAMPAIGN,
     BlobStore,
     RunManifest,
     RunStore,
     SnapshotRecord,
+    StoredKind,
     campaign_key,
-    campaign_run_id,
     dump_checkpoint,
     load_checkpoint,
     read_header,
     run_key,
     run_stored_campaign,
+    run_stored_steps,
     sha256_hex,
 )
 from repro.store.campaign import CRASH_ENV, CRASH_EXIT_CODE
+from repro.store.checkpoint import MAGIC
 
 
 class TestBlobStore:
@@ -108,6 +113,33 @@ class TestCheckpointFraming:
         with pytest.raises(CheckpointError):
             load_checkpoint(bytes(blob))
 
+    @staticmethod
+    def _crafted(header: dict, payload: bytes = b"") -> bytes:
+        raw = json.dumps(header).encode("utf-8")
+        return MAGIC + len(raw).to_bytes(4, "big") + raw + payload
+
+    def test_non_object_header_rejected(self):
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            read_header(self._crafted([1, 2, 3]))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(self._crafted("text"))
+
+    @pytest.mark.parametrize("missing", ["payload_bytes", "payload_sha256"])
+    def test_header_without_payload_fields_rejected(self, missing):
+        header = read_header(dump_checkpoint(1, kind="t"))
+        del header["_payload_offset"], header[missing]
+        with pytest.raises(CheckpointError, match=missing):
+            load_checkpoint(self._crafted(header, b"x"))
+
+    def test_digest_matching_garbage_payload_rejected(self):
+        payload = b"not a pickle"
+        header = read_header(dump_checkpoint(1, kind="t"))
+        del header["_payload_offset"]
+        header["payload_bytes"] = len(payload)
+        header["payload_sha256"] = sha256_hex(payload)
+        with pytest.raises(CheckpointError, match="does not unpickle"):
+            load_checkpoint(self._crafted(header, payload))
+
     def test_sets_pickle_canonically(self):
         # Same values, different insertion histories: the canonical
         # pickler must emit identical bytes, else content addressing
@@ -138,7 +170,7 @@ class TestRunKey:
     def test_campaign_key_resolves_engine(self):
         config = LongitudinalConfig(seed=1, scale=0.002, snapshots=2)
         assert campaign_key(config, None) == campaign_key(config, None)
-        run_id = campaign_run_id(campaign_key(config, None))
+        run_id = CAMPAIGN.run_id(campaign_key(config, None))
         assert run_id.startswith("campaign-")
 
 
@@ -195,6 +227,27 @@ class TestRunStore:
         report = store.diff("campaign-a", "campaign-b")
         assert "seed" in report["fields"]
         assert "scenario" in report["config"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '"manifest"',
+            '{"format": 1}',
+            '{"format": 1, "run_id": "r", "surprise": true}',
+            '{"format": 1, "snapshots": [7]}',
+            '{"format": 1, "checkpoint": {"digest": "d"}}',
+        ],
+        ids=["list", "string", "missing-fields", "unknown-field",
+             "non-object-snapshot", "incomplete-checkpoint"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        with pytest.raises(StoreError, match="manifest"):
+            RunManifest.from_json(text)
+        store = RunStore(tmp_path)
+        (store.runs_dir / "campaign-crafted.json").write_text(text)
+        with pytest.raises(StoreError):
+            store.load_manifest("campaign-crafted")
 
     def test_invalid_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path)
@@ -297,72 +350,166 @@ class TestStoredCampaign:
             assert snap.index == record.index
 
 
-_CHILD_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.netmodel.scenario import LongitudinalConfig
-from repro.store import run_stored_campaign
-config = LongitudinalConfig(
-    seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine={engine!r}
-)
-run_stored_campaign({store!r}, config)
-"""
+class TestStoredSteps:
+    def test_snapshotless_kind_checkpoints_every_step(self, tmp_path):
+        # Without a snapshot blob each step's record points at its
+        # checkpoint, so one is written every step whatever
+        # checkpoint_every asks for.
+        kind = StoredKind.partial_result("toy", list, len)
+
+        def step(state, index):
+            state.append(index)
+            return float(index), None
+
+        stored = run_stored_steps(
+            tmp_path, kind, "k" * 64, {}, 4, step,
+            start=list, seed=0, engine="wheel", checkpoint_every=3,
+        )
+        store = RunStore(tmp_path)
+        records = stored.manifest.snapshots
+        assert [r.when for r in records] == [0.0, 1.0, 2.0, 3.0]
+        for record in records:
+            partial = load_checkpoint(
+                store.get_blob(record.digest), expect_kind="toy-partial"
+            )
+            assert partial == list(range(record.index + 1))
+        assert stored.manifest.checkpoint.digest == records[-1].digest
+        assert stored.result == [0, 1, 2, 3]
 
 
-def _run_child(store: Path, engine: str, crash_after=None) -> int:
+def _child_config(engine: str) -> LongitudinalConfig:
+    return LongitudinalConfig(
+        seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine=engine
+    )
+
+
+def stored_run(kind: str, engine: str, store: str):
+    """The small run of each stored kind that the kill-and-resume pin uses.
+
+    The sweeps take their engine from ``REPRO_ENGINE``; campaigns name
+    it in their config.
+    """
+    if kind == "campaign":
+        return run_stored_campaign(store, _child_config(engine))
+    from repro.core import run_stored_attack_sweep, run_stored_variant_matrix
+    from tests.test_adversary import flood_plan, tiny_campaign
+
+    if kind == "attack-sweep":
+        return run_stored_attack_sweep(
+            store, flood_plan(count=3, volume=2000), tiny_campaign(),
+            counts=(0, 3), seeds=[7], workers=1,
+        )
+    return run_stored_variant_matrix(
+        store, ["baseline", "improved"], tiny_campaign(),
+        churn_levels=(2.0,), fidelities=("hybrid",), seeds=[7], workers=1,
+    )
+
+
+#: Run keys of the ``stored_run`` configs.  A change here changes the
+#: key of every stored run of that kind, so it must be deliberate.
+_KEY_PINS = {
+    ("campaign", "wheel"):
+        "9f4b00212255a55551a0ab9318ebdd010397a9f30881ef1860292d2fbfbc21a8",
+    ("campaign", "heap"):
+        "bb2a20d12c04cecc38e0bd84e31ede76c5c4445a235755029379fd3686dd2848",
+    ("attack-sweep", "wheel"):
+        "53b4bfacd974cebed3ffd11382ab5dc43d00eb832b6de7d3050965169dbf87a9",
+    ("variant-matrix", "wheel"):
+        "7de4966a6f9622a2c3d85972f15bbfef8b9abcd5de75f6036b03ec5ccc80769d",
+}
+
+#: One case per stored kind; campaigns on both scheduler backends.
+_KILL_CASES = [
+    pytest.param("campaign", "wheel", id="wheel"),
+    pytest.param("campaign", "heap", id="heap"),
+    pytest.param("attack-sweep", "wheel", id="attack-sweep"),
+    pytest.param("variant-matrix", "wheel", id="variant-matrix"),
+]
+
+
+def _run_child(store: Path, kind: str, engine: str, crash_after=None) -> int:
+    root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env.pop(CRASH_ENV, None)
     if crash_after is not None:
         env[CRASH_ENV] = str(crash_after)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    script = _CHILD_SCRIPT.format(src=src, engine=engine, store=str(store))
+    env["REPRO_ENGINE"] = engine
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+    script = "import sys; from tests.test_store import stored_run; stored_run(*sys.argv[1:])"
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=600,
+        [sys.executable, "-c", script, kind, engine, str(store)], env=env,
+        capture_output=True, text=True, timeout=600, cwd=str(root),
     )
     if crash_after is None and proc.returncode != 0:
         raise AssertionError(f"child failed: {proc.stderr}")
     return proc.returncode
 
 
+@pytest.mark.parametrize(("kind", "engine"), _KILL_CASES)
+def test_run_keys_are_pinned(kind, engine, monkeypatch):
+    from repro.core import variant_matrix_key
+    from repro.core.attack_experiments import attack_sweep_key
+    from repro.core.variant_experiments import normalize_variants
+    from tests.test_adversary import flood_plan, tiny_campaign
+
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    if kind == "campaign":
+        key = campaign_key(_child_config(engine), None)
+    elif kind == "attack-sweep":
+        key = attack_sweep_key(
+            flood_plan(count=3, volume=2000), tiny_campaign(), (0, 3), [7]
+        )
+    else:
+        key = variant_matrix_key(
+            tiny_campaign(), normalize_variants(["baseline", "improved"]),
+            [2.0], [None], ["hybrid"], [7],
+        )
+    assert key == _KEY_PINS[(kind, engine)]
+
+
 @pytest.mark.slow
 class TestKillAndResume:
-    """The acceptance pin: kill -9 mid-campaign, resume, compare."""
+    """The acceptance pin: kill -9 mid-run, resume, compare."""
 
-    @pytest.mark.parametrize("engine", ["wheel", "heap"])
-    def test_resumed_run_is_bit_identical(self, tmp_path, engine):
-        from repro.core.export import export_campaign_series
-
+    @pytest.mark.parametrize(("kind", "engine"), _KILL_CASES)
+    def test_resumed_run_is_bit_identical(self, tmp_path, kind, engine):
         interrupted = tmp_path / "interrupted"
         uninterrupted = tmp_path / "uninterrupted"
 
-        # Child 1 hard-exits right after snapshot 0's checkpoint commits.
-        code = _run_child(interrupted, engine, crash_after=0)
+        # Child 1 hard-exits right after step 0's checkpoint commits.
+        code = _run_child(interrupted, kind, engine, crash_after=0)
         assert code == CRASH_EXIT_CODE
         store = RunStore(interrupted)
         manifest = store.manifests()[0]
+        assert manifest.kind == kind
+        assert manifest.key == _KEY_PINS[(kind, engine)]
         assert manifest.status == "running"
         assert manifest.completed_snapshots == 1
         assert manifest.checkpoint is not None
+        assert manifest.checkpoint.snapshot_index == 0
 
         # Child 2 (same invocation) auto-resumes from the checkpoint.
-        assert _run_child(interrupted, engine) == 0
+        assert _run_child(interrupted, kind, engine) == 0
         resumed = store.load_manifest(manifest.run_id)
         assert resumed.status == "complete"
-        assert resumed.completed_snapshots == 3
+        assert resumed.completed_snapshots == resumed.snapshots_total
 
-        # Child 3 runs the same campaign uninterrupted in a second store.
-        assert _run_child(uninterrupted, engine) == 0
+        # Child 3 runs the same invocation uninterrupted in a second store.
+        assert _run_child(uninterrupted, kind, engine) == 0
         fresh = RunStore(uninterrupted).load_manifest(manifest.run_id)
 
-        # Content addressing makes the comparison exact: every snapshot
+        # Content addressing makes the comparison exact: every step's
         # blob and the final result blob must hash identically.
         assert [s.digest for s in resumed.snapshots] == [
             s.digest for s in fresh.snapshots
         ]
         assert resumed.result_digest == fresh.result_digest
+        if kind != "campaign":
+            return
 
         # And the user-facing artifact: byte-identical CSV exports.
+        from repro.core.export import export_campaign_series
+
         result_resumed = run_stored_campaign(
             interrupted, _child_config(engine)
         )
@@ -377,12 +524,6 @@ class TestKillAndResume:
             result_fresh.result, tmp_path / "b.csv"
         )
         assert path_a.read_bytes() == path_b.read_bytes()
-
-
-def _child_config(engine: str) -> LongitudinalConfig:
-    return LongitudinalConfig(
-        seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine=engine
-    )
 
 
 class TestReadOnlyStore:

@@ -7,15 +7,13 @@ spelling keys identically to its canonical variant, on both the store
 and serve paths — plus the light-tier behaviors the ``unreachable-relay``
 variant switches on: assist endpoints keep riding the no-cancel fast
 lane, and a mixed-tier world snapshots/restores mid-run without drift.
+Kill-and-resume of stored matrices is pinned with the other stored kinds
+in ``tests/test_store.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,17 +25,12 @@ from repro.core import (
     run_stored_variant_matrix,
     variant_matrix_key,
 )
-from repro.core.variant_experiments import (
-    CRASH_ENV,
-    CRASH_EXIT_CODE,
-    normalize_variants,
-)
+from repro.core.variant_experiments import normalize_variants
 from repro.errors import ConfigurationError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
 from repro.serve.submission import parse_submission
 from repro.simnet import Simulator
 from repro.store.campaign import campaign_key
-from repro.store.runstore import RunStore
 
 
 def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
@@ -329,54 +322,3 @@ def test_mixed_tier_snapshot_restore_under_assist():
         return hashlib.sha256(repr(figures).encode()).hexdigest()
 
     assert digest(scenario.sim) == digest(restored)
-
-
-# ---------------------------------------------------------------------------
-# Kill -9 mid-matrix; resume must pick up from the last completed cell
-# ---------------------------------------------------------------------------
-
-_CHILD_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.core import run_stored_variant_matrix
-from tests.test_variant_lab import tiny_campaign
-
-run_stored_variant_matrix(
-    {store!r}, ["baseline", "improved"], tiny_campaign(),
-    churn_levels=(2.0,), fidelities=("hybrid",), seeds=[7], workers=1,
-)
-"""
-
-
-def _run_matrix_child(store: Path, crash_after=None) -> int:
-    env = dict(os.environ)
-    env.pop(CRASH_ENV, None)
-    if crash_after is not None:
-        env[CRASH_ENV] = str(crash_after)
-    root = Path(__file__).resolve().parent.parent
-    script = _CHILD_SCRIPT.format(src=str(root / "src"), store=str(store))
-    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=600, cwd=str(root),
-    )
-    if crash_after is None and proc.returncode != 0:
-        raise AssertionError(f"child failed: {proc.stderr}")
-    return proc.returncode
-
-
-@pytest.mark.slow
-class TestMatrixKillAndResume:
-    def test_resumed_matrix_completes_from_checkpoint(self, tmp_path):
-        store_dir = tmp_path / "interrupted"
-        assert _run_matrix_child(store_dir, crash_after=0) == CRASH_EXIT_CODE
-        store = RunStore(store_dir)
-        manifest = store.manifests()[0]
-        assert manifest.status == "running"
-        assert manifest.checkpoint is not None
-        assert manifest.checkpoint.snapshot_index == 0
-
-        assert _run_matrix_child(store_dir) == 0
-        resumed = store.load_manifest(manifest.run_id)
-        assert resumed.status == "complete"
-        assert resumed.result_digest is not None
